@@ -1,7 +1,8 @@
 // fastdnaml++ — the command-line program, in the spirit of the original
 // fastDNAml interface: PHYLIP alignment in, maximum-likelihood tree out,
 // with jumbles, bootstrap, rate categories, rearrangement control, and the
-// parallel runtime behind a flag.
+// parallel runtime behind a flag. Flags become a deployment through the
+// launcher (parallel/launch.hpp); this file only searches and reports.
 //
 //   fastdnamlpp alignment.phy                         # serial, defaults
 //   fastdnamlpp alignment.phy --jumble=10 --seed=3    # 10 addition orders
@@ -9,14 +10,21 @@
 //   fastdnamlpp alignment.phy --bootstrap=100         # bootstrap supports
 //   fastdnamlpp alignment.phy --tstv=2.0 --cross=5 --gamma=0.5 --categories=4
 //   fastdnamlpp alignment.phy --out=best.nwk --svg=compare.svg
+//   fastdnamlpp --taxa=20 --sites=600 --workers=4
+//       --chaos="chaos-plan v1 seed=7 drop=0.05 delay=0.2"
+//   fastdnamlpp --taxa=12 --sites=300 --workers=4 --trace-out=run.json
+//       --sim-trace-out=sim.json --sim-procs=7
 #include <csignal>
 #include <cstdio>
 #include <fstream>
 
 #include "fdml.hpp"
+#include "parallel/launch.hpp"
 #include "util/simd.hpp"
 
 namespace {
+
+using namespace fdml;
 
 // SIGINT/SIGTERM ask the run to stop at the next checkpoint boundary; the
 // search throws SearchInterrupted after that checkpoint is durably
@@ -30,6 +38,9 @@ extern "C" void handle_stop_signal(int signal_number) {
 void usage(const char* program) {
   std::printf(
       "usage: %s ALIGNMENT.phy [options]\n"
+      "       %s --taxa=N --sites=M [options]   (synthetic paper-like data)\n"
+      "  --input=FILE      PHYLIP alignment (same as the positional argument)\n"
+      "  --taxa=N --sites=M  simulate a paper-like alignment (seed 4242)\n"
       "  --seed=N          random seed for taxon addition order (default 1)\n"
       "  --jumble=N        number of random addition orders (default 1)\n"
       "  --bootstrap=N     bootstrap replicates instead of a plain search\n"
@@ -39,7 +50,8 @@ void usage(const char* program) {
       "  --cross=K         vertices crossed in rearrangements (default 1)\n"
       "  --final-cross=K   final-pass setting (default = --cross)\n"
       "  --adaptive=K      escalate stalled rearrangements up to K\n"
-      "  --workers=N       run the parallel cluster with N workers\n"
+      "  --workers=N       run the parallel cluster with N worker threads\n"
+      "  --chaos=PLAN      fault-inject the workers (\"chaos-plan v1 ...\")\n"
       "  --timeout-ms=T    worker fault-tolerance timeout (default 30000)\n"
       "  --transport=T     thread (default) or socket (multi-process TCP;\n"
       "                    launch one process per rank, see\n"
@@ -48,230 +60,110 @@ void usage(const char* program) {
       "  --port=P          socket mode: hub TCP port\n"
       "  --host=H          socket mode: hub address (default 127.0.0.1)\n"
       "  --fabric-size=S   socket mode: total process count\n"
+      "  --connect-timeout-ms=T  socket rendezvous budget (default 15000)\n"
+      "  --reconnect       socket peers redial a lost hub connection\n"
+      "  --reconnect-budget-ms=T  redial budget per outage (default 15000)\n"
+      "  --heartbeat-ms=T  foreman pings silent workers every T ms (0 = off)\n"
+      "  --telemetry-ms=T  ranks ship metric deltas every T ms (0 = off)\n"
       "  --checkpoint=FILE write a restart checkpoint after each addition\n"
       "  --checkpoint-keep=K  checkpoint generations retained (default 3)\n"
       "  --resume=FILE     continue an interrupted run from its checkpoint\n"
-      "                    (rolls back to the newest valid generation)\n"
-      "  --out=FILE        write the best tree (Newick)\n"
+      "                    (rolls back to the newest valid generation);\n"
+      "                    neither applies to --jumble>1 or --bootstrap\n"
+      "  --out=FILE        write the best tree (Newick, then \"lnL ...\")\n"
       "  --svg=FILE        write a comparison SVG across jumbles\n"
       "  --trace-out=FILE  write a Chrome trace of the run (chrome://tracing;\n"
       "                    feed it to trace_report for utilization tables)\n"
+      "  --sim-trace-out=FILE  replay the search through the cluster\n"
+      "                    simulator and write its virtual-time trace\n"
+      "  --sim-procs=N     simulated processor count (default 7)\n"
       "  --log-level=L     debug|info|warn|error|off (default warn)\n"
       "  --quiet           suppress the ASCII tree\n"
       "  --version         print version and SIMD kernel backend info\n",
-      program);
+      program, program);
 }
 
 void print_version() {
   std::printf("fastdnaml++ (fastDNAml reproduction)\n");
   std::printf("simd backend: %s (active), tier: %s (active)\n",
-              fdml::simd::backend_name(fdml::simd::active_backend()),
-              fdml::simd::tier_name(fdml::simd::active_tier()));
+              simd::backend_name(simd::active_backend()),
+              simd::tier_name(simd::active_tier()));
   std::printf("simd compiled:");
-  for (const fdml::simd::Backend b : fdml::simd::compiled_backends()) {
-    std::printf(" %s%s", fdml::simd::backend_name(b),
-                fdml::simd::cpu_supports(b) ? "" : " (unsupported on this cpu)");
+  for (const simd::Backend b : simd::compiled_backends()) {
+    std::printf(" %s%s", simd::backend_name(b),
+                simd::cpu_supports(b) ? "" : " (unsupported on this cpu)");
   }
   std::printf("\ntiers compiled:");
-  for (const fdml::simd::Tier t : fdml::simd::compiled_tiers()) {
-    std::printf(" %s", fdml::simd::tier_name(t));
+  for (const simd::Tier t : simd::compiled_tiers()) {
+    std::printf(" %s", simd::tier_name(t));
   }
   std::printf("\n");
 }
 
-fdml::SocketRunOptions socket_options_from_args(const fdml::CliArgs& args) {
-  fdml::SocketRunOptions options;
-  options.socket.rank = static_cast<int>(args.get_int("rank", 0));
-  options.socket.size = static_cast<int>(args.get_int("fabric-size", 0));
-  options.socket.host = args.get("host", "127.0.0.1");
-  options.socket.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.foreman.worker_timeout =
-      std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
-  return options;
+bool write_text(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "error writing %s\n", path.c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  using namespace fdml;
-  const CliArgs args(argc, argv);
-  if (args.has("version")) {
-    print_version();
-    return 0;
-  }
-  if (args.positional().empty()) {
-    usage(argv[0]);
-    return 2;
-  }
-  if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --log-level (debug|info|warn|error|off)\n");
-      return 2;
-    }
-    set_log_level(*level);
-  }
-  const std::string trace_out = args.get("trace-out", "");
-  if (!trace_out.empty()) obs::Tracer::instance().enable();
-
-  Alignment alignment;
-  try {
-    alignment = read_phylip_file(args.positional().front());
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "error reading %s: %s\n",
-                 args.positional().front().c_str(), error.what());
+int run_bootstrap_mode(const CliArgs& args, const Problem& problem,
+                       const SearchOptions& options) {
+  BootstrapOptions boot;
+  boot.replicates = static_cast<int>(args.get_int("bootstrap", 100));
+  boot.seed = options.seed;
+  boot.search = options;
+  std::printf("bootstrap: %d replicates...\n", boot.replicates);
+  const BootstrapResult result =
+      run_bootstrap(problem.alignment, problem.model, problem.rates, boot);
+  AsciiOptions ascii;
+  ascii.show_support = true;
+  std::printf("\nMajority-rule bootstrap consensus "
+              "(labels = %% of replicates):\n%s\n",
+              render_ascii(result.consensus, ascii).c_str());
+  if (args.has("out") &&
+      !write_text(args.get("out", ""), to_newick(result.consensus) + "\n")) {
     return 1;
   }
-  const PatternAlignment data(alignment);
+  return 0;
+}
+
+/// Replays the recorded search through the discrete-event cluster and
+/// writes the same Chrome-trace vocabulary with virtual timestamps.
+bool write_sim_trace(const CliArgs& args, const SearchTrace& trace) {
+  const std::string path = args.get("sim-trace-out", "");
+  obs::TraceLog sim_log;
+  SimClusterConfig config;
+  config.processors = static_cast<int>(args.get_int("sim-procs", 7));
+  config.trace = &sim_log;
+  const SimResult sim = simulate_trace(trace, config);
+  if (!write_trace_file(path, sim_log)) return false;
+  std::printf("simulated %d procs: %.3fs virtual wall, utilization %.2f\n",
+              config.processors, sim.wall_seconds, sim.worker_utilization);
+  return true;
+}
+
+int run(const CliArgs& args) {
+  apply_output_flags(args);
+  const std::unique_ptr<const Problem> problem = load_problem(args);
+  const PatternAlignment& data = problem->data;
   std::printf("fastdnaml++ | %zu taxa x %zu sites -> %zu patterns\n",
-              data.num_taxa(), alignment.num_sites(), data.num_patterns());
+              data.num_taxa(), problem->alignment.num_sites(),
+              data.num_patterns());
+  std::printf("model: %s, ts/tv=%.2f, rates: %s\n", problem->model.name().c_str(),
+              problem->model.tstv_ratio(), problem->rates.name().c_str());
 
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), args.get_double("tstv", 2.0));
-  const RateModel rates =
-      args.has("gamma")
-          ? RateModel::discrete_gamma(args.get_double("gamma", 0.5),
-                                      static_cast<int>(args.get_int("categories", 4)))
-          : RateModel::uniform();
-  std::printf("model: %s, ts/tv=%.2f, rates: %s\n", model.name().c_str(),
-              model.tstv_ratio(), rates.name().c_str());
+  SearchOptions options = search_options_from_flags(args);
+  if (is_peer_rank(args)) return run_peer_rank(args, *problem);
+  if (args.has("bootstrap")) return run_bootstrap_mode(args, *problem, options);
 
-  const std::string transport = args.get("transport", "thread");
-  if (transport != "thread" && transport != "socket") {
-    std::fprintf(stderr, "error: unknown --transport=%s (thread|socket)\n",
-                 transport.c_str());
-    return 2;
-  }
-  if (transport == "socket") {
-    if (!args.has("port") || !args.has("fabric-size")) {
-      std::fprintf(stderr,
-                   "error: --transport=socket needs --port and --fabric-size "
-                   "(and --rank, 0 for the master)\n");
-      return 2;
-    }
-    if (args.has("bootstrap")) {
-      std::fprintf(stderr,
-                   "error: --bootstrap is not available over --transport=socket "
-                   "(run the plain search; bootstrap uses in-process runners)\n");
-      return 2;
-    }
-    const int rank = static_cast<int>(args.get_int("rank", 0));
-    if (rank != 0) {
-      // Non-master rank: run this process's role loop (foreman / monitor /
-      // worker) until the fabric shuts down, then exit. Every rank loads
-      // the same alignment file and model flags.
-      SocketRoleResult role;
-      try {
-        role = run_socket_role(data, model, rates, socket_options_from_args(args));
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "rank %d: %s\n", rank, error.what());
-        return 1;
-      }
-      if (role.foreman.has_value()) {
-        std::printf("foreman: %llu rounds, %llu tasks, %llu quarantines\n",
-                    static_cast<unsigned long long>(role.foreman->rounds),
-                    static_cast<unsigned long long>(role.foreman->tasks_completed),
-                    static_cast<unsigned long long>(role.foreman->quarantines));
-      } else if (role.monitor.has_value()) {
-        std::printf("monitor: %llu rounds, %llu completions\n",
-                    static_cast<unsigned long long>(role.monitor->rounds),
-                    static_cast<unsigned long long>(role.monitor->completions));
-      } else if (role.worker.has_value()) {
-        std::printf("worker %d: %llu tasks, %.2fs CPU\n", role.rank,
-                    static_cast<unsigned long long>(role.worker->tasks_evaluated),
-                    role.worker->cpu_seconds);
-      }
-      if (!trace_out.empty()) {
-        obs::Tracer::instance().disable();
-        const obs::TraceLog log = obs::Tracer::instance().drain();
-        const std::string path = trace_out + ".rank" + std::to_string(rank);
-        std::ofstream out(path);
-        log.write_chrome(out);
-        if (!out) {
-          std::fprintf(stderr, "error writing %s\n", path.c_str());
-          return 1;
-        }
-        std::printf("wrote trace: %s (%zu events)\n", path.c_str(),
-                    log.events.size());
-      }
-      return 0;
-    }
-  }
-
-  SearchOptions options;
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  options.rearrange_cross = static_cast<int>(args.get_int("cross", 1));
-  options.final_rearrange_cross =
-      static_cast<int>(args.get_int("final-cross", options.rearrange_cross));
-  options.adaptive_max_cross = static_cast<int>(args.get_int("adaptive", 0));
-
-  // Bootstrap mode.
-  if (args.has("bootstrap")) {
-    BootstrapOptions boot;
-    boot.replicates = static_cast<int>(args.get_int("bootstrap", 100));
-    boot.seed = options.seed;
-    boot.search = options;
-    std::printf("bootstrap: %d replicates...\n", boot.replicates);
-    const BootstrapResult result = run_bootstrap(alignment, model, rates, boot);
-    AsciiOptions ascii;
-    ascii.show_support = true;
-    std::printf("\nMajority-rule bootstrap consensus "
-                "(labels = %% of replicates):\n%s\n",
-                render_ascii(result.consensus, ascii).c_str());
-    if (args.has("out")) {
-      std::ofstream out(args.get("out", ""));
-      out << to_newick(result.consensus) << "\n";
-      std::printf("wrote %s\n", args.get("out", "").c_str());
-    }
-    return 0;
-  }
-
-  // Plain (possibly jumbled, possibly parallel) search.
-  const int jumbles = static_cast<int>(args.get_int("jumble", 1));
-  std::unique_ptr<InProcessCluster> cluster;
-  std::unique_ptr<SocketCluster> socket_cluster;
-  std::unique_ptr<SerialTaskRunner> serial;
-  TaskRunner* runner;
-  if (transport == "socket") {
-    // Rank 0 of a multi-process run: fabric hub + master, everything else
-    // is other OS processes rendezvousing on our port.
-    SocketRunOptions socket_options = socket_options_from_args(args);
-    socket_options.socket.rank = 0;
-    socket_cluster =
-        std::make_unique<SocketCluster>(data, model, rates, socket_options);
-    std::printf("socket cluster: hub on port %u, %d workers (%d processes)\n",
-                static_cast<unsigned>(socket_options.socket.port),
-                socket_cluster->num_workers(), socket_options.socket.size);
-    if (!socket_cluster->wait_ready(socket_options.socket.connect_timeout)) {
-      std::fprintf(stderr,
-                   "error: fabric incomplete after %lld ms (some rank never "
-                   "announced)\n",
-                   static_cast<long long>(
-                       socket_options.socket.connect_timeout.count()));
-      return 1;
-    }
-    std::printf("fabric ready: all %d ranks announced\n",
-                socket_options.socket.size);
-    runner = &socket_cluster->runner();
-  } else if (args.has("workers")) {
-    ClusterOptions cluster_options;
-    cluster_options.num_workers = static_cast<int>(args.get_int("workers", 4));
-    cluster_options.foreman.worker_timeout =
-        std::chrono::milliseconds(args.get_int("timeout-ms", 30000));
-    cluster = std::make_unique<InProcessCluster>(data, model, rates, cluster_options);
-    runner = &cluster->runner();
-    std::printf("parallel: %d workers (+ master/foreman/monitor)\n",
-                cluster->num_workers());
-  } else {
-    serial = std::make_unique<SerialTaskRunner>(data, model, rates);
-    runner = serial.get();
-  }
-
-  options.checkpoint_path = args.get("checkpoint", "");
-  options.checkpoint_keep =
-      static_cast<std::uint64_t>(args.get_int("checkpoint-keep", 3));
-  options.dataset_fingerprint = alignment_fingerprint(data);
+  Deployment deployment(args, *problem);
+  if (!deployment.wait_ready()) return 1;
   options.stop_requested = [] { return g_stop_signal != 0; };
   std::signal(SIGINT, handle_stop_signal);
   std::signal(SIGTERM, handle_stop_signal);
@@ -279,55 +171,28 @@ int main(int argc, char** argv) {
   Timer timer;
   JumbleResult jumbled;
   try {
-    if (args.has("resume")) {
-      const std::string resume_path = args.get("resume", "");
-      std::optional<RecoveredCheckpoint> recovered;
-      try {
-        recovered =
-            recover_checkpoint(resume_path, options.dataset_fingerprint);
-      } catch (const std::exception& error) {
-        std::fprintf(stderr, "error: cannot resume from %s: %s\n",
-                     resume_path.c_str(), error.what());
-        return 1;
-      }
-      if (!recovered.has_value()) {
-        std::fprintf(stderr, "error: no usable checkpoint at %s\n",
-                     resume_path.c_str());
-        return 1;
-      }
-      std::printf("resuming from %s (generation %llu, %d of %zu taxa placed)\n",
-                  recovered->path.c_str(),
-                  static_cast<unsigned long long>(recovered->generation),
-                  recovered->checkpoint.next_order_index, data.num_taxa());
-      // Continue checkpointing where the interrupted run left off.
-      if (options.checkpoint_path.empty()) {
-        options.checkpoint_path = resume_path;
-      }
-      options.seed = recovered->checkpoint.seed;
-      jumbled.runs.push_back(
-          StepwiseSearch(data, options).resume(*runner, recovered->checkpoint));
-    } else {
-      jumbled = run_jumbles(data, options, jumbles, *runner);
-    }
+    jumbled = run_search(args, data, options, deployment.runner());
   } catch (const SearchInterrupted& interrupted) {
     std::printf("\ninterrupted by signal %d; run is resumable at checkpoint "
                 "generation %llu (--resume=%s)\n",
                 static_cast<int>(g_stop_signal),
                 static_cast<unsigned long long>(interrupted.generation()),
-                options.checkpoint_path.c_str());
+                args.get("checkpoint", args.get("resume", "")).c_str());
     return 130;
   }
+  const double wall = timer.seconds();
+  deployment.shutdown();  // drain the peers; final spans and stats are stable
+
   const SearchResult& best = jumbled.runs[jumbled.best_index];
-  std::printf("\n%d ordering(s), %.1fs: best ln L = %.4f "
+  std::printf("\n%zu ordering(s), %.1fs: best ln L = %.4f "
               "(%zu trees evaluated in the best run)\n",
-              jumbles, timer.seconds(), best.best_log_likelihood,
+              jumbled.runs.size(), wall, best.best_log_likelihood,
               best.trees_evaluated);
   for (std::size_t k = 0; k < jumbled.runs.size(); ++k) {
     std::printf("  order %2zu: ln L = %.4f%s\n", k,
                 jumbled.runs[k].best_log_likelihood,
                 k == jumbled.best_index ? "  <- best" : "");
   }
-
   const Tree tree = tree_from_newick(best.best_newick, data.names());
   if (!args.get_bool("quiet")) {
     GeneralTree display = GeneralTree::from_tree(tree, data.names());
@@ -335,13 +200,14 @@ int main(int argc, char** argv) {
     std::printf("\n%s\n", render_ascii(display).c_str());
   }
   std::printf("Newick: %s\n", to_newick(tree, data.names(), 6).c_str());
+  deployment.print_summary();
 
+  bool ok = true;
   if (args.has("out")) {
-    std::ofstream out(args.get("out", ""));
-    out << to_newick(tree, data.names(), 10) << "\n";
-    std::printf("wrote %s\n", args.get("out", "").c_str());
+    ok &= write_result_file(args.get("out", ""), best.best_newick, data.names(),
+                            best.best_log_likelihood);
   }
-  if (args.has("svg") && jumbles > 1) {
+  if (args.has("svg") && jumbled.runs.size() > 1) {
     std::vector<GeneralTree> panels;
     std::vector<std::string> titles;
     for (std::size_t k = 0; k < jumbled.runs.size(); ++k) {
@@ -350,40 +216,33 @@ int main(int argc, char** argv) {
           data.names()));
       titles.push_back("order " + std::to_string(k));
     }
-    std::ofstream out(args.get("svg", ""));
-    out << render_comparison_svg(panels, {data.names().front()}, titles);
-    std::printf("wrote %s\n", args.get("svg", "").c_str());
+    ok &= write_text(args.get("svg", ""),
+                     render_comparison_svg(panels, {data.names().front()}, titles));
   }
-  if (cluster != nullptr) {
-    const MonitorReport report = cluster->monitor_report();
-    std::printf("\nmonitor: %llu rounds, %llu tasks, %llu requeues\n",
-                static_cast<unsigned long long>(report.rounds),
-                static_cast<unsigned long long>(report.completions),
-                static_cast<unsigned long long>(report.requeues));
+  if (args.has("trace-out")) ok &= write_trace_file(args.get("trace-out", ""));
+  if (args.has("sim-trace-out")) ok &= write_sim_trace(args, best.trace);
+  return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliArgs args(argc, argv);
+  if (args.has("version")) {
+    print_version();
+    return 0;
   }
-  if (socket_cluster != nullptr) {
-    socket_cluster->shutdown();  // drain the peers before reading stats
-    const SocketFabricStats fabric = socket_cluster->fabric_stats();
-    std::printf("\nfabric: %llu frames out / %llu in, %llu peer deaths, "
-                "%llu dropped\n",
-                static_cast<unsigned long long>(fabric.frames_sent),
-                static_cast<unsigned long long>(fabric.frames_received),
-                static_cast<unsigned long long>(fabric.peer_deaths),
-                static_cast<unsigned long long>(fabric.frames_dropped));
+  if (!has_problem(args)) {
+    usage(argv[0]);
+    return 2;
   }
-  if (!trace_out.empty()) {
-    if (cluster != nullptr) cluster->shutdown();  // stable final spans
-    obs::Tracer::instance().disable();
-    const obs::TraceLog log = obs::Tracer::instance().drain();
-    std::ofstream out(trace_out);
-    log.write_chrome(out);
-    if (!out) {
-      std::fprintf(stderr, "error writing %s\n", trace_out.c_str());
-      return 1;
-    }
-    std::printf("wrote trace: %s (%zu events, %llu dropped)\n",
-                trace_out.c_str(), log.events.size(),
-                static_cast<unsigned long long>(log.dropped_events));
+  try {
+    return run(args);
+  } catch (const UsageError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
-  return 0;
 }

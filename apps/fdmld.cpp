@@ -16,7 +16,8 @@
 //         --taxa=12 --sites=300 --reconnect --heartbeat-ms=250
 //
 //   # submit one job and wait for its tree (exit 0 done, 3 shed, 4 failed)
-//   fdmld --mode=submit --service-port=7200 --seed=11 --out=job11.nwk
+//   fdmld --mode=submit --service-port=7200 --seed=11 --taxa=12 --sites=300
+//         --out=job11.nwk
 //
 //   # metrics snapshot (JSON, includes service.*, job.<id>.* counters and
 //   # one job_progress row per admitted job)
@@ -40,6 +41,7 @@
 #include <thread>
 
 #include "fdml.hpp"
+#include "parallel/launch.hpp"
 
 namespace {
 
@@ -52,60 +54,6 @@ void on_signal(int sig) { g_signal = sig; }
 void install_signal_handlers() {
   std::signal(SIGTERM, on_signal);
   std::signal(SIGINT, on_signal);
-}
-
-/// Every process of a deployment rebuilds the identical dataset from the
-/// same flags (or reads the same file) — the paper's PVM processes each
-/// loading the alignment.
-Alignment dataset_from_args(const CliArgs& args) {
-  const int taxa = static_cast<int>(args.get_int("taxa", 12));
-  const auto sites = static_cast<std::size_t>(args.get_int("sites", 300));
-  return args.has("input") ? read_phylip_file(args.get("input", ""))
-                           : make_paper_like_dataset(taxa, sites, 4242);
-}
-
-/// Canonical result file (same bytes as parallel_search --out and the
-/// soak's serial reference): newick at precision 10, then "lnL %.6f".
-bool write_result_file(const std::string& path, const std::string& newick,
-                       const PatternAlignment& data, double log_likelihood) {
-  const Tree best = tree_from_newick(newick, data.names());
-  std::ofstream out(path);
-  out << to_newick(best, data.names(), 10) << "\n";
-  char lnl[64];
-  std::snprintf(lnl, sizeof lnl, "lnL %.6f\n", log_likelihood);
-  out << lnl;
-  if (!out) {
-    std::fprintf(stderr, "error writing %s\n", path.c_str());
-    return false;
-  }
-  return true;
-}
-
-SocketRunOptions socket_options_from_args(const CliArgs& args) {
-  SocketRunOptions options;
-  options.socket.rank = static_cast<int>(args.get_int("rank", 0));
-  options.socket.size = static_cast<int>(args.get_int("fabric-size", 0));
-  options.socket.host = args.get("host", "127.0.0.1");
-  options.socket.port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  options.socket.connect_timeout =
-      std::chrono::milliseconds(args.get_int("connect-timeout-ms", 15000));
-  options.foreman.worker_timeout =
-      std::chrono::milliseconds(args.get_int("timeout-ms", 8000));
-  if (args.has("reconnect")) {
-    options.socket.reconnect = true;
-    options.socket.reconnect_budget =
-        std::chrono::milliseconds(args.get_int("reconnect-budget-ms", 15000));
-  }
-  if (args.has("heartbeat-ms")) {
-    options.foreman.heartbeat_interval =
-        std::chrono::milliseconds(args.get_int("heartbeat-ms", 0));
-  }
-  // --telemetry-ms=N turns on the telemetry plane: every non-master rank
-  // ships metric deltas to the hub each period. 0 (the default) keeps the
-  // fabric byte-for-byte identical to a telemetry-free build.
-  options.telemetry_interval =
-      std::chrono::milliseconds(args.get_int("telemetry-ms", 0));
-  return options;
 }
 
 /// Starts the rotating trace-segment writer when --trace-dir is given.
@@ -132,21 +80,18 @@ int run_serve(const CliArgs& args) {
   // in the first segment; stopped (final flush) after the drain below so
   // every span has closed by then.
   auto segments = maybe_start_segments(args);
-  const Alignment alignment = dataset_from_args(args);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::uniform();
+  const auto problem = load_problem(args);
+  const PatternAlignment& data = problem->data;
 
-  SocketRunOptions cluster_options = socket_options_from_args(args);
-  cluster_options.socket.rank = 0;
+  SocketRunOptions cluster_options = socket_options_from_flags(args);
+  cluster_options.socket.rank = kMasterRank;
   // The service retries failed rounds (the remote foreman may be riding out
   // an outage) before degrading to in-process evaluation.
   cluster_options.master.max_round_retries =
       static_cast<int>(args.get_int("round-retries", 2));
   cluster_options.master.watchdog_timeout =
       std::chrono::milliseconds(args.get_int("watchdog-ms", 60000));
-  SocketCluster cluster(data, model, rates, cluster_options);
+  SocketCluster cluster(data, problem->model, problem->rates, cluster_options);
   std::printf("fdmld: hub on port %u, fabric size %d\n",
               static_cast<unsigned>(cluster_options.socket.port),
               cluster_options.socket.size);
@@ -226,43 +171,21 @@ int run_serve(const CliArgs& args) {
 
 int run_role(const CliArgs& args) {
   auto segments = maybe_start_segments(args);
-  const Alignment alignment = dataset_from_args(args);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::uniform();
-  const SocketRunOptions options = socket_options_from_args(args);
-  SocketRoleResult role;
-  try {
-    role = run_socket_role(data, model, rates, options);
-  } catch (const std::exception& error) {
-    std::fprintf(stderr, "rank %d: %s\n", options.socket.rank, error.what());
-    return 1;
-  }
-  if (role.foreman.has_value()) {
-    std::printf("foreman: %llu rounds, %llu tasks, %llu delinquencies, "
-                "%llu probation passes, %llu heartbeat pings\n",
-                static_cast<unsigned long long>(role.foreman->rounds),
-                static_cast<unsigned long long>(role.foreman->tasks_completed),
-                static_cast<unsigned long long>(role.foreman->delinquencies),
-                static_cast<unsigned long long>(role.foreman->probation_passes),
-                static_cast<unsigned long long>(role.foreman->heartbeat_pings));
-  } else if (role.worker.has_value()) {
-    std::printf("worker %d: %llu tasks, %.2fs CPU, %llu telemetry frames\n",
-                role.rank,
-                static_cast<unsigned long long>(role.worker->tasks_evaluated),
-                role.worker->cpu_seconds,
-                static_cast<unsigned long long>(role.worker->telemetry_frames));
-  }
+  const int status = run_peer_rank(args, *load_problem(args));
   if (segments) segments->stop();
-  return 0;
+  return status;
 }
 
 int run_submit(const CliArgs& args) {
+  // The dataset only names the taxa of the --out file; load it before
+  // submitting so a bad flag fails without occupying a job slot.
+  std::unique_ptr<const Problem> problem;
+  if (args.has("out")) problem = load_problem(args);
+  const SearchOptions search = search_options_from_flags(args);
   JobSpec spec;
-  spec.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  spec.rearrange_cross = static_cast<int>(args.get_int("cross", 1));
-  spec.final_rearrange_cross = static_cast<int>(args.get_int("final-cross", 1));
+  spec.seed = search.seed;
+  spec.rearrange_cross = search.rearrange_cross;
+  spec.final_rearrange_cross = search.final_rearrange_cross;
   spec.name = args.get("name", "");
   const std::string host = args.get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(args.get_int("service-port", 0));
@@ -289,13 +212,10 @@ int run_submit(const CliArgs& args) {
     std::printf("job %llu done: lnL %.6f (%u retries)\n",
                 static_cast<unsigned long long>(outcome.job_id),
                 outcome.log_likelihood, outcome.retries);
-    if (args.has("out")) {
-      const Alignment alignment = dataset_from_args(args);
-      const PatternAlignment data(alignment);
-      if (!write_result_file(args.get("out", ""), outcome.newick, data,
-                             outcome.log_likelihood)) {
-        return 1;
-      }
+    if (problem && !write_result_file(args.get("out", ""), outcome.newick,
+                                      problem->data.names(),
+                                      outcome.log_likelihood)) {
+      return 1;
     }
     return 0;
   }
@@ -362,24 +282,17 @@ int run_scrape(const CliArgs& args) {
 }
 
 int run_reference(const CliArgs& args) {
-  const Alignment alignment = dataset_from_args(args);
-  const PatternAlignment data(alignment);
-  const SubstModel model =
-      SubstModel::f84_from_tstv(data.base_frequencies(), 2.0);
-  const RateModel rates = RateModel::uniform();
-  SearchOptions options;
-  options.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  options.rearrange_cross = static_cast<int>(args.get_int("cross", 1));
-  options.final_rearrange_cross =
-      static_cast<int>(args.get_int("final-cross", 1));
+  const auto problem = load_problem(args);
+  const PatternAlignment& data = problem->data;
+  SearchOptions options = search_options_from_flags(args);
   options.record_trace = false;
-  SerialTaskRunner runner(data, model, rates);
+  SerialTaskRunner runner(data, problem->model, problem->rates);
   const SearchResult result = StepwiseSearch(data, options).run(runner);
   std::printf("reference seed %llu: lnL %.6f\n",
               static_cast<unsigned long long>(options.seed),
               result.best_log_likelihood);
   if (args.has("out") &&
-      !write_result_file(args.get("out", ""), result.best_newick, data,
+      !write_result_file(args.get("out", ""), result.best_newick, data.names(),
                          result.best_log_likelihood)) {
     return 1;
   }
@@ -418,19 +331,8 @@ int run_proxy(const CliArgs& args) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliArgs args(argc, argv);
-  if (args.has("log-level")) {
-    const auto level = parse_log_level(args.get("log-level", ""));
-    if (!level.has_value()) {
-      std::fprintf(stderr,
-                   "error: bad --log-level (debug|info|warn|error|off)\n");
-      return 2;
-    }
-    set_log_level(*level);
-  }
+int run_mode(const CliArgs& args) {
+  apply_output_flags(args);
   const std::string mode = args.get("mode", "");
   if (mode == "serve") return run_serve(args);
   if (mode == "role") return run_role(args);
@@ -439,9 +341,21 @@ int main(int argc, char** argv) {
   if (mode == "scrape") return run_scrape(args);
   if (mode == "reference") return run_reference(args);
   if (mode == "proxy") return run_proxy(args);
-  std::fprintf(stderr,
-               "usage: fdmld "
-               "--mode=serve|role|submit|stats|scrape|reference|proxy "
-               "[flags]\n");
-  return 2;
+  throw UsageError(
+      "usage: fdmld --mode=serve|role|submit|stats|scrape|reference|proxy "
+      "[flags]");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_mode(CliArgs(argc, argv));
+  } catch (const UsageError& error) {
+    std::fprintf(stderr, "fdmld: %s\n", error.what());
+    return 2;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "fdmld: %s\n", error.what());
+    return 1;
+  }
 }

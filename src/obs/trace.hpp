@@ -122,7 +122,9 @@ class Tracer {
   static Tracer& instance();
 
   /// Implementation detail (public so the thread-local registration cache
-  /// in trace.cpp can name it); not part of the recording API.
+  /// in trace.cpp can name it); not part of the recording API. A thread
+  /// that only names itself keeps just its tid and name; `slots` is
+  /// allocated when it records its first event while tracing is enabled.
   struct Ring {
     std::mutex mutex;
     int tid = 0;
@@ -136,9 +138,9 @@ class Tracer {
  private:
   Ring& local_ring();
 
-  mutable std::mutex mutex_;  // guards rings_ vector and capacity_
+  mutable std::mutex mutex_;  // guards rings_ vector
   std::vector<std::unique_ptr<Ring>> rings_;
-  std::size_t capacity_ = 1 << 16;
+  std::atomic<std::size_t> capacity_{1 << 16};
 };
 
 /// --- Convenience recording API (all one relaxed load when disabled) ---

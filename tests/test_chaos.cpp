@@ -11,7 +11,6 @@
 #include <thread>
 
 #include "comm/chaos.hpp"
-#include "comm/fault.hpp"
 #include "comm/integrity.hpp"
 #include "comm/transport.hpp"
 #include "model/simulate.hpp"
@@ -136,23 +135,6 @@ TEST(Chaos, DelayedSendDoesNotBlockTheSender) {
   const auto message = receiver->recv_for(milliseconds(2000));
   ASSERT_TRUE(message.has_value());
   EXPECT_EQ(message->tag, MessageTag::kResult);
-}
-
-// Satellite regression: FaultyTransport's injected delay used to sleep in
-// the caller's thread, freezing the sender instead of the network.
-TEST(Chaos, FaultyTransportDelayIsDeferredToo) {
-  ThreadFabric fabric(4);
-  auto receiver = fabric.endpoint(kForemanRank);
-  FaultyTransport faulty(
-      fabric.endpoint(3), nullptr,
-      [](const Message&) { return milliseconds(80); });
-
-  const auto before = std::chrono::steady_clock::now();
-  faulty.send(kForemanRank, MessageTag::kResult, {1, 2, 3});
-  EXPECT_LT(std::chrono::steady_clock::now() - before, milliseconds(40));
-  const auto message = receiver->recv_for(milliseconds(2000));
-  ASSERT_TRUE(message.has_value());
-  EXPECT_EQ(message->payload, (std::vector<std::uint8_t>{1, 2, 3}));
 }
 
 TEST(Chaos, CrashAfterSendsSilencesTheHost) {

@@ -3,8 +3,11 @@
 // flow-arc pairing across a real parallel run, report math against a
 // hand-computed trace, and the worker goodbye-report propagation.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -118,6 +121,30 @@ TEST(Tracer, DisabledRecordingIsANoOp) {
   for (const obs::LogEvent& e : log.events) {
     EXPECT_NE(e.cat, "test");
   }
+
+  // Naming a thread must not allocate its event ring: fdmld names one
+  // short-lived thread per request, so an untraced server would otherwise
+  // grow by a full ring (~4.7 MB at the default capacity) per request.
+  // Enable/disable first to restore the default capacity earlier tests
+  // shrank.
+  obs::Tracer::instance().enable();
+  obs::Tracer::instance().disable();
+  const auto resident_bytes = [] {
+    std::ifstream statm("/proc/self/statm");
+    std::size_t pages = 0, resident = 0;
+    statm >> pages >> resident;
+    return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  };
+  const std::size_t before = resident_bytes();
+  std::vector<std::thread> named;
+  for (int i = 0; i < 16; ++i) {
+    named.emplace_back([i] { obs::set_thread_name("named-" + std::to_string(i)); });
+  }
+  for (std::thread& thread : named) thread.join();
+  const std::size_t after = resident_bytes();
+  EXPECT_LT(after - std::min(after, before), std::size_t{16} << 20)
+      << "16 name-only threads grew RSS by " << ((after - before) >> 20)
+      << " MB";
 }
 
 TEST(Tracer, ChromeRoundTripPreservesEventsAndThreads) {

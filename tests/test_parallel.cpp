@@ -2,17 +2,27 @@
 // master/foreman/worker/monitor runtime — including the paper's timeout
 // fault tolerance (requeue, delinquency, reinstatement).
 #include <gtest/gtest.h>
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <memory>
 #include <thread>
 
-#include "comm/fault.hpp"
+#include "comm/chaos.hpp"
 #include "comm/integrity.hpp"
 #include "comm/transport.hpp"
 #include "model/simulate.hpp"
 #include "parallel/cluster.hpp"
 #include "parallel/foreman.hpp"
+#include "parallel/launch.hpp"
 #include "parallel/protocol.hpp"
 #include "search/search.hpp"
 #include "tree/newick.hpp"
@@ -362,19 +372,15 @@ TEST(Cluster, DroppedResultIsRequeuedToAnotherWorker) {
   ClusterOptions cluster_options;
   cluster_options.num_workers = 2;
   cluster_options.foreman.worker_timeout = std::chrono::milliseconds(100);
-  // Worker rank 3 silently drops its first result: a "crashed" worker.
-  auto drop_count = std::make_shared<std::atomic<int>>(0);
+  // Worker rank 3 dies right after its hello (send 1): its first result
+  // (send 2) is swallowed, as a crashed worker's would be.
+  FaultPlan crash;
+  crash.crash_after_sends = 2;
   cluster_options.wrap_worker_transport =
-      [drop_count](int rank, std::unique_ptr<Transport> inner)
+      [crash](int rank, std::unique_ptr<Transport> inner)
       -> std::unique_ptr<Transport> {
     if (rank != kFirstWorkerRank) return inner;
-    return std::make_unique<FaultyTransport>(
-        std::move(inner),
-        [drop_count](const Message& message) {
-          return message.tag == MessageTag::kResult &&
-                 drop_count->fetch_add(1) == 0;
-        },
-        nullptr);
+    return std::make_unique<ChaosTransport>(std::move(inner), crash);
   };
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
@@ -395,21 +401,17 @@ TEST(Cluster, SlowWorkerIsReinstatedAfterLateReply) {
   ClusterOptions cluster_options;
   cluster_options.num_workers = 2;
   cluster_options.foreman.worker_timeout = std::chrono::milliseconds(80);
-  // Worker rank 3 delays its first result well past the timeout, then
-  // behaves normally — the paper's geographically-distributed-PVM scenario.
-  auto slow_count = std::make_shared<std::atomic<int>>(0);
+  // Worker rank 3's results all arrive well past the timeout — the paper's
+  // geographically-distributed-PVM scenario: each late reply reinstates it.
+  FaultPlan slow;
+  slow.delay = 1.0;
+  slow.delay_min_ms = 250;
+  slow.delay_max_ms = 250;
   cluster_options.wrap_worker_transport =
-      [slow_count](int rank, std::unique_ptr<Transport> inner)
+      [slow](int rank, std::unique_ptr<Transport> inner)
       -> std::unique_ptr<Transport> {
     if (rank != kFirstWorkerRank) return inner;
-    return std::make_unique<FaultyTransport>(
-        std::move(inner), nullptr, [slow_count](const Message& message) {
-          if (message.tag == MessageTag::kResult &&
-              slow_count->fetch_add(1) == 0) {
-            return std::chrono::milliseconds(250);
-          }
-          return std::chrono::milliseconds(0);
-        });
+    return std::make_unique<ChaosTransport>(std::move(inner), slow);
   };
   InProcessCluster cluster(fx.data, SubstModel::jc69(), RateModel::uniform(),
                            cluster_options);
@@ -463,6 +465,180 @@ TEST(Cluster, MonitorMeasuresRoundSlack) {
               report.round_slack_seconds[r] - 1e-9)
         << "slack cannot exceed the round duration";
   }
+}
+
+
+// --- launcher: flags -> deployment ---
+
+CliArgs cli(std::vector<std::string> flags) {
+  std::vector<const char*> argv{"launcher-test"};
+  for (const std::string& flag : flags) argv.push_back(flag.c_str());
+  return CliArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(Launcher, TransportFlagsFillSocketRunOptions) {
+  using Field = std::function<std::int64_t(const SocketRunOptions&)>;
+  const struct {
+    const char* flag;
+    std::int64_t fallback;
+    std::int64_t value;
+    Field field;
+  } rows[] = {
+      {"rank", 0, 3, [](const SocketRunOptions& o) { return o.socket.rank; }},
+      {"fabric-size", 0, 6,
+       [](const SocketRunOptions& o) { return o.socket.size; }},
+      {"port", 0, 7100,
+       [](const SocketRunOptions& o) { return std::int64_t{o.socket.port}; }},
+      {"connect-timeout-ms", 15000, 2500,
+       [](const SocketRunOptions& o) {
+         return std::int64_t{o.socket.connect_timeout.count()};
+       }},
+      {"timeout-ms", 30000, 2000,
+       [](const SocketRunOptions& o) {
+         return std::int64_t{o.foreman.worker_timeout.count()};
+       }},
+      {"reconnect-budget-ms", 15000, 20000,
+       [](const SocketRunOptions& o) {
+         return std::int64_t{o.socket.reconnect_budget.count()};
+       }},
+      {"heartbeat-ms", 0, 250,
+       [](const SocketRunOptions& o) {
+         return std::int64_t{o.foreman.heartbeat_interval.count()};
+       }},
+      {"telemetry-ms", 0, 250,
+       [](const SocketRunOptions& o) {
+         return std::int64_t{o.telemetry_interval.count()};
+       }},
+  };
+  const SocketRunOptions defaults = socket_options_from_flags(cli({}));
+  for (const auto& row : rows) {
+    EXPECT_EQ(row.field(defaults), row.fallback) << "--" << row.flag;
+    const std::string flag =
+        std::string("--") + row.flag + "=" + std::to_string(row.value);
+    EXPECT_EQ(row.field(socket_options_from_flags(cli({flag}))), row.value)
+        << flag;
+  }
+  EXPECT_EQ(defaults.socket.host, "127.0.0.1");
+  EXPECT_FALSE(defaults.socket.reconnect);
+  const SocketRunOptions set =
+      socket_options_from_flags(cli({"--host=10.0.0.7", "--reconnect"}));
+  EXPECT_EQ(set.socket.host, "10.0.0.7");
+  EXPECT_TRUE(set.socket.reconnect);
+}
+
+std::uint16_t pick_free_port() {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  const std::uint16_t port = ntohs(addr.sin_port);
+  ::close(fd);
+  return port;
+}
+
+struct LaunchedRun {
+  SearchResult best;
+  std::string result_file;
+};
+
+/// Rank 0 as a front-end drives it: flags -> problem -> deployment ->
+/// search -> canonical result file.
+LaunchedRun launch_rank0(const CliArgs& args, const std::string& out) {
+  const auto problem = load_problem(args);
+  Deployment deployment(args, *problem);
+  EXPECT_TRUE(deployment.wait_ready());
+  const JumbleResult jumbled =
+      run_search(args, problem->data, search_options_from_flags(args),
+                 deployment.runner());
+  deployment.shutdown();
+  LaunchedRun run{jumbled.runs[jumbled.best_index], ""};
+  EXPECT_TRUE(write_result_file(out, run.best.best_newick,
+                                problem->data.names(),
+                                run.best.best_log_likelihood));
+  std::ifstream in(out);
+  std::stringstream bytes;
+  bytes << in.rdbuf();
+  run.result_file = bytes.str();
+  return run;
+}
+
+TEST(Launcher, RunnersBuiltFromFlagsAgreeBitForBit) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("fdml_launch_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::create_directories(dir);
+  const std::vector<std::string> common{"--taxa=8", "--sites=200", "--seed=5"};
+  const auto with = [&](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), common.begin(), common.end());
+    return extra;
+  };
+
+  const LaunchedRun serial = launch_rank0(cli(common), dir + "/serial.out");
+  const LaunchedRun threads =
+      launch_rank0(cli(with({"--workers=2"})), dir + "/threads.out");
+
+  // Five ranks over loopback; ranks 1-4 take the launcher's peer path on
+  // threads, each building its own problem from the same flags.
+  const std::vector<std::string> fabric{
+      "--transport=socket", "--fabric-size=5",
+      "--port=" + std::to_string(pick_free_port())};
+  std::vector<std::thread> peers;
+  for (int rank = 1; rank < 5; ++rank) {
+    peers.emplace_back([&, rank] {
+      std::vector<std::string> flags = with(fabric);
+      flags.push_back("--rank=" + std::to_string(rank));
+      const CliArgs args = cli(flags);
+      EXPECT_TRUE(is_peer_rank(args));
+      EXPECT_EQ(run_peer_rank(args, *load_problem(args)), 0) << "rank " << rank;
+    });
+  }
+  std::vector<std::string> master = with(fabric);
+  master.push_back("--rank=0");
+  EXPECT_FALSE(is_peer_rank(cli(master)));
+  const LaunchedRun socket = launch_rank0(cli(master), dir + "/socket.out");
+  for (std::thread& peer : peers) peer.join();
+  std::filesystem::remove_all(dir);
+
+  for (const LaunchedRun* run : {&threads, &socket}) {
+    EXPECT_EQ(run->best.best_newick, serial.best.best_newick);
+    std::uint64_t a = 0, b = 0;
+    std::memcpy(&a, &run->best.best_log_likelihood, sizeof a);
+    std::memcpy(&b, &serial.best.best_log_likelihood, sizeof b);
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(run->best.trees_evaluated, serial.best.trees_evaluated);
+    EXPECT_EQ(run->result_file, serial.result_file);
+  }
+  EXPECT_NE(serial.result_file.find("\nlnL -"), std::string::npos);
+}
+
+TEST(Launcher, RejectsFlagCombinationsThatLoseWork) {
+  for (const std::vector<std::string>& flags :
+       std::vector<std::vector<std::string>>{
+           {"--checkpoint=run.ckpt", "--jumble=2"},
+           {"--resume=run.ckpt", "--jumble=3"},
+           {"--checkpoint=run.ckpt", "--bootstrap=10"},
+           {"--resume=run.ckpt", "--bootstrap=5"},
+           {"--bootstrap=5", "--transport=socket", "--port=1", "--fabric-size=4"},
+       }) {
+    EXPECT_THROW(search_options_from_flags(cli(flags)), UsageError)
+        << flags.front() << " " << flags.back();
+  }
+  EXPECT_NO_THROW(search_options_from_flags(
+      cli({"--checkpoint=run.ckpt", "--jumble=1"})));
+  EXPECT_NO_THROW(search_options_from_flags(cli({"--jumble=4"})));
+  EXPECT_THROW(load_problem(cli({"--taxa=8"})), UsageError);
+  EXPECT_THROW(socket_transport(cli({"--transport=carrier-pigeon"})),
+               UsageError);
+  EXPECT_THROW(socket_transport(cli({"--transport=socket", "--port=1"})),
+               UsageError);
+  EXPECT_THROW(apply_output_flags(cli({"--log-level=loud"})), UsageError);
+  const auto problem = load_problem(cli({"--taxa=6", "--sites=60"}));
+  EXPECT_THROW(Deployment(cli({"--taxa=6", "--sites=60", "--chaos=x"}), *problem),
+               UsageError);
 }
 
 }  // namespace
